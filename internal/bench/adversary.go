@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -33,10 +34,10 @@ type AdversaryPoint struct {
 	Hardened bool   `json:"hardened"`
 	Outcome  string `json:"outcome"`
 
-	Injected  int64 `json:"frames_injected"`  // frames the attacker forged
-	Delivered int64 `json:"bytes_delivered"`  // client payload progress
-	SeqDrops  int64 `json:"seq_invalid_drops"` // bridge in-window validation
-	ARPFiltered int64 `json:"arp_rejected"`   // bindings the ARP filter refused
+	Injected    int64 `json:"frames_injected"`   // frames the attacker forged
+	Delivered   int64 `json:"bytes_delivered"`   // client payload progress
+	SeqDrops    int64 `json:"seq_invalid_drops"` // bridge in-window validation
+	ARPFiltered int64 `json:"arp_rejected"`      // bindings the ARP filter refused
 
 	Reflected     int64   `json:"reflected_frames"` // ackstorm: frames at the client
 	Amplification float64 `json:"amplification"`    // ackstorm: reflected/injected
@@ -334,4 +335,28 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 	_ = stalled
 	addEvents(sc)
 	return p, nil
+}
+
+func printAdversary(w io.Writer, _ Config, r *Results) {
+	points := r.Adversary
+	fmt.Fprintln(w, "=== E11 (extension): adversarial attack-outcome matrix ===")
+	fmt.Fprintln(w, "(seeded in-LAN attacker vs a live connection: blind RST probes,")
+	fmt.Fprintln(w, " forged gratuitous-ARP takeover, stale-data ACK reflection, and a")
+	fmt.Fprintln(w, " spoofed SYN flood, against both topologies with the hardening")
+	fmt.Fprintln(w, " knobs off and on; every cell is a pure function of its seed)")
+	fmt.Fprintf(w, "%10s %10s %9s %16s %9s %10s %6s %7s %7s %7s\n",
+		"attack", "topology", "hardened", "outcome", "injected", "delivered", "drops", "arpRej", "amp", "evict")
+	for i, p := range points {
+		if i > 0 && p.Attack != points[i-1].Attack {
+			fmt.Fprintln(w)
+		}
+		h := "off"
+		if p.Hardened {
+			h = "on"
+		}
+		fmt.Fprintf(w, "%10s %10s %9s %16s %9d %10d %6d %7d %7.2f %7d\n",
+			p.Attack, p.Topology, h, p.Outcome, p.Injected, p.Delivered,
+			p.SeqDrops, p.ARPFiltered, p.Amplification, p.Evictions)
+	}
+	fmt.Fprintln(w)
 }

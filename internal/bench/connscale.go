@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -351,4 +352,27 @@ func connScalePoint(seed int64, n int, spans bool) (ConnScalePoint, int, error) 
 	}
 	addEvents(sc)
 	return best, sc.Spans.Len(), nil
+}
+
+func printConnScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E8: simulator hot-path cost vs connection count ===")
+	fmt.Fprintln(w, "(request/reply rounds across N concurrent failover connections;")
+	fmt.Fprintln(w, " host-side cost per carried LAN frame in the steady state —")
+	fmt.Fprintln(w, " targets: per-segment ns at 10k <= 1.5x the 100-conn cost,")
+	fmt.Fprintln(w, " and ~0 allocations per segment)")
+	fmt.Fprintf(w, "%8s %12s %14s %14s %12s\n",
+		"conns", "segments", "ns/segment", "allocs/seg", "ratio")
+	base := 0.0
+	for i, p := range r.ConnScale {
+		if i == 0 {
+			base = p.MedianNsPerSegment
+		}
+		ratio := "-"
+		if base > 0 && i > 0 {
+			ratio = fmt.Sprintf("%.2f", p.MedianNsPerSegment/base)
+		}
+		fmt.Fprintf(w, "%8d %12d %14.0f %14.5f %12s\n",
+			p.Conns, p.Segments, p.MedianNsPerSegment, p.AllocsPerSegment, ratio)
+	}
+	fmt.Fprintln(w)
 }

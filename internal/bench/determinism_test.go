@@ -24,7 +24,8 @@ func smallConfig() Config {
 // TestResultsIdenticalAcrossWorkerCounts is the harness's core invariant:
 // every simulation is fully determined by its seed, and aggregation happens
 // in config order, so the marshalled results must be byte-identical whether
-// the simulations ran serially or fanned out across goroutines.
+// the simulations ran serially or fanned out across goroutines, and so must
+// the printed text blocks.
 func TestResultsIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -41,7 +42,11 @@ func TestResultsIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return blob
+		var text bytes.Buffer
+		if err := traj.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		return append(blob, text.Bytes()...)
 	}
 	serial := run(1)
 	parallel := run(4)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -189,4 +190,18 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		points = append(points, p)
 	}
 	return points, nil
+}
+
+func printFaultSweep(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E7 (extension): failover latency under link impairment ===")
+	fmt.Fprintln(w, "(1 MB server-to-client stream over lossy links, primary crashed")
+	fmt.Fprintln(w, " mid-stream by the failure schedule; stall = longest post-crash")
+	fmt.Fprintln(w, " gap in the client's received-byte timeline)")
+	fmt.Fprintf(w, "%12s %8s %14s %14s %12s %8s %8s\n",
+		"loss model", "rate", "stall med", "stall max", "rate [KB/s]", "intact", "drops")
+	for _, p := range r.FaultSweep {
+		fmt.Fprintf(w, "%12s %8.3f %14v %14v %12.2f %8v %8d\n",
+			p.Model, p.Rate, p.StallMedian, p.StallMax, p.RecvKBps, p.AllIntact, p.Injected)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -148,7 +149,7 @@ type msSflowModel struct {
 // msTupleModel mirrors the tcp.Tuple the seed's secondary kept per
 // connection in a second map.
 type msTupleModel struct {
-	localAddr, remoteAddr   uint32
+	localAddr, remoteAddr uint32
 	localPort, remotePort uint16
 }
 
@@ -325,4 +326,32 @@ func memScaleFlowtabCell(n int) (MemScalePoint, error) {
 	p.DriveAllocsPerSegment = float64(msB.Mallocs-msA.Mallocs) / float64(segs)
 	runtime.KeepAlive(f)
 	return p, nil
+}
+
+func printMemScale(w io.Writer, _ Config, r *Results) {
+	points := r.MemScale
+	fmt.Fprintln(w, "=== E13: memory layout at scale (map vs flowtab bridges) ===")
+	fmt.Fprintln(w, "(N established failover connections held live on real bridges;")
+	fmt.Fprintln(w, " \"map\" allocates the pointer-per-connection layout the bridges")
+	fmt.Fprintln(w, " used before the flow-table rewrite, \"flowtab\" populates the")
+	fmt.Fprintln(w, " open-addressing tables and slab arenas; live objects/bytes are")
+	fmt.Fprintln(w, " runtime.GC deltas, forced-GC wall time shows the scan cost,")
+	fmt.Fprintln(w, " and the drive phase pushes client ACKs through the hot path)")
+	fmt.Fprintf(w, "%9s %8s %12s %12s %9s %8s %11s %12s %12s\n",
+		"conns", "layout", "objects", "obj/conn", "bytes/c", "GC [ms]", "pause [us]", "ns/segment", "allocs/seg")
+	for i, p := range points {
+		if i > 0 && p.Conns != points[i-1].Conns {
+			fmt.Fprintln(w)
+		}
+		drive := "-"
+		allocs := "-"
+		if p.DriveSegments > 0 {
+			drive = fmt.Sprintf("%.0f", p.DriveNsPerSegment)
+			allocs = fmt.Sprintf("%.5f", p.DriveAllocsPerSegment)
+		}
+		fmt.Fprintf(w, "%9d %8s %12d %12.4f %9.0f %8.2f %11.0f %12s %12s\n",
+			p.Conns, p.Layout, p.LiveObjects, p.ObjectsPerConn, p.BytesPerConn,
+			float64(p.ForcedGCNS)/1e6, float64(p.GCPauseNS)/1e3, drive, allocs)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -292,4 +293,27 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 		digs = ss.Digests()
 	}
 	return p, digs, nil
+}
+
+func printShardScale(w io.Writer, _ Config, r *Results) {
+	points := r.ShardScale
+	fmt.Fprintln(w, "=== E10: sharded parallel scaling (byte-identical engine) ===")
+	fmt.Fprintln(w, "(replicated testbed cells on a trunk ring, 1 in 8 connections")
+	fmt.Fprintln(w, " cross-cell; the shard count partitions the cells across domain")
+	fmt.Fprintln(w, " schedulers in conservative lockstep — results are byte-identical")
+	fmt.Fprintln(w, " for every shard count, so events/sec is directly comparable;")
+	fmt.Fprintln(w, " speedup/efficiency are vs the shards=1 point, per worker core)")
+	for i, p := range points {
+		if i > 0 && p.Conns != points[i-1].Conns {
+			fmt.Fprintln(w)
+		}
+		if i == 0 || p.Conns != points[i-1].Conns {
+			fmt.Fprintf(w, "%8s %6s %7s %8s %12s %12s %14s %14s %8s %6s\n",
+				"conns", "cells", "shards", "workers", "rounds", "wall [ms]", "events/s", "ev/s/core", "speedup", "eff")
+		}
+		fmt.Fprintf(w, "%8d %6d %7d %8d %12d %12.0f %14.0f %14.0f %8.2f %6.2f\n",
+			p.Conns, p.Cells, p.Shards, p.Workers, p.Rounds, float64(p.WallNS)/1e6,
+			p.EventsPerSec, p.EventsPerSecPerCore, p.Speedup, p.Efficiency)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -175,4 +176,30 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 		return nil, err
 	}
 	return out, nil
+}
+
+func printSLO(w io.Writer, _ Config, r *Results) {
+	points := r.SLO
+	fmt.Fprintln(w, "=== E12 (extension): SLO under open-loop production traffic ===")
+	fmt.Fprintln(w, "(workload-zoo sessions arrive open-loop — they do not wait for the")
+	fmt.Fprintln(w, " service — at the offered rate; goodput and client-visible request")
+	fmt.Fprintln(w, " latency per cell; in crash cells the primary fail-stops at the")
+	fmt.Fprintln(w, " middle of the measurement window)")
+	fmt.Fprintf(w, "%13s %6s %6s %8s %8s %7s %7s %12s %10s %10s %10s\n",
+		"mode", "load/s", "crash", "requests", "complete", "failed", "refuse",
+		"goodput KB/s", "p50", "p99", "p99.9")
+	for i, p := range points {
+		if i > 0 && p.Mode != points[i-1].Mode {
+			fmt.Fprintln(w)
+		}
+		crash := "-"
+		if p.Crash {
+			crash = "crash"
+		}
+		fmt.Fprintf(w, "%13s %6g %6s %8d %8d %7d %7d %12.1f %10v %10v %10v\n",
+			p.Mode, p.Load, crash, p.Requests, p.Completed, p.Failed, p.DialErrors,
+			p.GoodputKBps, p.P50.Round(time.Microsecond),
+			p.P99.Round(time.Microsecond), p.P999.Round(time.Microsecond))
+	}
+	fmt.Fprintln(w)
 }

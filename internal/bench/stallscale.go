@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -234,4 +235,30 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	p.Recovery = stallStats(&recovery)
 	addShardEvents(ss)
 	return p, exact, nil
+}
+
+func printStallScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E14 (extension): fleet-scale stall attribution ===")
+	fmt.Fprintln(w, "(open-loop web sessions across testbed cells; every cell's primary")
+	fmt.Fprintln(w, " crashes mid-window; each connection's client-visible stall is read")
+	fmt.Fprintln(w, " from its lifecycle span and attributed per phase against the fleet")
+	fmt.Fprintln(w, " failure/detect/takeover marks; log-histogram percentiles, <=1/32")
+	fmt.Fprintln(w, " relative error; byte-identical for any worker or shard count)")
+	for _, p := range r.StallScale {
+		fmt.Fprintf(w, "conns %d (cells %d, %.1f sessions/s/cell, %v window): %d spans, %d stalled, digest %s\n",
+			p.Conns, p.Cells, p.LoadPerCell, p.Window, p.Spans, p.Stalled, p.SpanDigest)
+		fmt.Fprintf(w, "  %-10s %12s %12s %12s %12s\n", "phase", "p50", "p99", "p99.9", "max")
+		for _, row := range []struct {
+			name string
+			st   StallPhaseStats
+		}{
+			{"total", p.Total}, {"precrash", p.PreCrash}, {"detection", p.Detection},
+			{"announce", p.Announce}, {"resume", p.Resume}, {"recovery", p.Recovery},
+		} {
+			fmt.Fprintf(w, "  %-10s %12v %12v %12v %12v\n", row.name,
+				row.st.P50.Round(time.Microsecond), row.st.P99.Round(time.Microsecond),
+				row.st.P999.Round(time.Microsecond), row.st.Max.Round(time.Microsecond))
+		}
+	}
+	fmt.Fprintln(w)
 }

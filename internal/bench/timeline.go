@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -154,4 +155,20 @@ func CollectMetrics() (*obs.Registry, error) {
 		}
 	}
 	return sc.Obs, nil
+}
+
+func printTimeline(w io.Writer, _ Config, r *Results) {
+	tl := r.Timeline
+	fmt.Fprintln(w, "=== E9 (extension): failover timeline, phase breakdown ===")
+	fmt.Fprintln(w, "(reconstructed from a client-side flight recorder plus the")
+	fmt.Fprintln(w, " detector/takeover hooks; medians over the crash runs)")
+	fmt.Fprintf(w, "%-24s %14s\n", "phase", "median")
+	fmt.Fprintf(w, "%-24s %14v\n", "detection", tl.DetectionMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "takeover + ARP announce", tl.AnnounceMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "redirection to client", tl.ResumeMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "client ack turnaround", tl.AckTurnaroundMedian)
+	fmt.Fprintf(w, "%-24s %14v (max %v, n=%d)\n", "total", tl.TotalMedian, tl.TotalMax, tl.N)
+	fmt.Fprintln(w, "sample run 0:")
+	_ = tl.Sample.WriteText(w)
+	fmt.Fprintln(w)
 }

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 )
@@ -10,11 +12,9 @@ import (
 // Config selects which experiments RunAll executes and with what workload
 // parameters. It mirrors the failover-bench command-line flags.
 type Config struct {
-	// Experiments names the experiments to run: connscale, shardscale,
-	// memscale, connsetup, fig3, fig4, fig5, fig6, ablate, failover,
-	// faultsweep, failtimeline, adversary, slo, stallscale.
+	// Experiments names the experiments to run (see ExperimentNames).
 	// Empty or containing "all" runs everything. Execution order is always
-	// the canonical order above, regardless of the order named here.
+	// the canonical registry order, regardless of the order named here.
 	Experiments []string `json:"experiments"`
 	Conns       int      `json:"conns"`  // connections for E1
 	Reps        int      `json:"reps"`   // repetitions per data point (E2, E3, E5)
@@ -52,52 +52,161 @@ type Config struct {
 	StallScale []int `json:"stall_scale,omitempty"`
 }
 
-// experimentOrder is the canonical execution order; results are emitted in
-// this order no matter how Config.Experiments is spelled. connscale runs
-// first: it is the one experiment that measures the simulator's own
-// wall-clock cost, and running it before the others dirty the heap keeps
-// its cache and TLB behaviour representative of a process that is actually
-// serving 10k connections rather than one that just churned through eight
-// other workloads (measured: ~15% inflation at the 10k point when it runs
-// last, even after returning the dirtied heap to the OS).
+// An experiment is one registry entry: its name, the step that runs it and
+// fills its Results fields, and the printer that writes those fields as the
+// paper-style text block.
+type experiment struct {
+	name  string
+	run   func(cfg Config, r *Results) error
+	print func(w io.Writer, cfg Config, r *Results)
+}
+
+// experiments is the registry, in canonical execution order; results are
+// run and printed in this order no matter how Config.Experiments is spelled.
+// connscale runs first: it is the one experiment that measures the
+// simulator's own wall-clock cost, and running it before the others dirty
+// the heap keeps its cache and TLB behaviour representative of a process
+// that is actually serving 10k connections rather than one that just churned
+// through eight other workloads (measured: ~15% inflation at the 10k point
+// when it runs last, even after returning the dirtied heap to the OS).
 // shardscale follows immediately: it too measures the simulator's own
 // wall-clock cost and wants a heap that has not been churned by the
 // virtual-time experiments; memscale follows for the same reason (its cells
 // measure the process's own heap, and each cell re-settles it first).
-var experimentOrder = []string{"connscale", "shardscale", "memscale", "connsetup", "fig3", "fig4", "fig5", "fig6", "ablate", "failover", "faultsweep", "failtimeline", "adversary", "slo", "stallscale"}
-
-// ExperimentNames lists the valid experiment names in canonical execution
-// order (plus the "all" pseudo-name accepted by Config.Experiments).
-func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
+var experiments = []experiment{
+	{"connscale", func(cfg Config, r *Results) (err error) {
+		r.ConnScale, err = ConnScale(cfg.ConnScale)
+		return err
+	}, printConnScale},
+	{"shardscale", func(cfg Config, r *Results) (err error) {
+		r.ShardScale, err = ShardScale(cfg.ShardScale, cfg.ShardCounts)
+		return err
+	}, printShardScale},
+	{"memscale", func(cfg Config, r *Results) (err error) {
+		r.MemScale, err = MemScale(cfg.MemScale)
+		return err
+	}, printMemScale},
+	{"connsetup", func(cfg Config, r *Results) error {
+		for _, mode := range []Mode{Standard, Failover} {
+			res, err := ConnectionSetup(mode, cfg.Conns)
+			if err != nil {
+				return fmt.Errorf("connsetup %s: %w", mode, err)
+			}
+			r.ConnSetup = append(r.ConnSetup, res)
+		}
+		return nil
+	}, printConnSetup},
+	{"fig3", func(cfg Config, r *Results) (err error) {
+		r.Fig3Std, r.Fig3Fo, err = bothModes("fig3", func(m Mode) ([]TransferPoint, error) {
+			return ClientToServerSend(m, cfg.sizes(), cfg.Reps)
+		})
+		return err
+	}, printFig3},
+	{"fig4", func(cfg Config, r *Results) (err error) {
+		r.Fig4Std, r.Fig4Fo, err = bothModes("fig4", func(m Mode) ([]TransferPoint, error) {
+			return ServerToClientTransfer(m, cfg.sizes(), cfg.Reps)
+		})
+		return err
+	}, printFig4},
+	{"fig5", func(cfg Config, r *Results) error {
+		std, fo, err := bothModes("fig5", func(m Mode) (RateResult, error) {
+			return StreamRates(m, cfg.Stream)
+		})
+		if err == nil {
+			r.Fig5 = []RateResult{std, fo}
+		}
+		return err
+	}, printFig5},
+	{"fig6", func(cfg Config, r *Results) (err error) {
+		r.Fig6Std, r.Fig6Fo, err = bothModes("fig6", func(m Mode) ([]FTPPoint, error) {
+			return FTPRates(m, cfg.Reps)
+		})
+		return err
+	}, printFig6},
+	{"ablate", func(cfg Config, r *Results) (err error) {
+		r.Ablation, err = Ablation(cfg.Stream / 4)
+		return err
+	}, printAblation},
+	{"failover", func(cfg Config, r *Results) error {
+		res, err := FailoverLatency(cfg.Runs)
+		if err == nil {
+			r.Failover = &res
+		}
+		return err
+	}, printFailover},
+	{"faultsweep", func(cfg Config, r *Results) (err error) {
+		r.FaultSweep, err = FaultSweep(cfg.FaultRates, cfg.Runs)
+		return err
+	}, printFaultSweep},
+	{"failtimeline", func(cfg Config, r *Results) error {
+		res, err := FailoverTimeline(cfg.Runs)
+		if err == nil {
+			r.Timeline = &res
+		}
+		return err
+	}, printTimeline},
+	{"adversary", func(cfg Config, r *Results) (err error) {
+		r.Adversary, err = AdversaryMatrix()
+		return err
+	}, printAdversary},
+	{"slo", func(cfg Config, r *Results) (err error) {
+		r.SLO, err = SLO(cfg.SLOWorkload, cfg.SLOLoads, cfg.SLOWindow)
+		return err
+	}, printSLO},
+	{"stallscale", func(cfg Config, r *Results) (err error) {
+		r.StallScale, err = StallScale(cfg.StallScale, 0)
+		return err
+	}, printStallScale},
 }
 
-// enabled expands Config.Experiments into a membership set, rejecting
-// unknown names.
-func (c Config) enabled() (map[string]bool, error) {
-	set := make(map[string]bool, len(experimentOrder))
-	names := c.Experiments
-	if len(names) == 0 {
-		names = []string{"all"}
+// bothModes runs one paper experiment against standard TCP and then TCP
+// Failover, naming the failing half in the error.
+func bothModes[T any](name string, fn func(Mode) (T, error)) (std, fo T, err error) {
+	if std, err = fn(Standard); err != nil {
+		return std, fo, fmt.Errorf("%s standard: %w", name, err)
 	}
-	for _, name := range names {
-		if name == "all" {
-			for _, e := range experimentOrder {
-				set[e] = true
-			}
-			continue
-		}
-		known := false
-		for _, e := range experimentOrder {
-			known = known || e == name
-		}
-		if !known {
+	if fo, err = fn(Failover); err != nil {
+		return std, fo, fmt.Errorf("%s failover: %w", name, err)
+	}
+	return std, fo, nil
+}
+
+// ExperimentNames lists the valid experiment names in canonical execution
+// order (Config.Experiments also accepts the "all" pseudo-name).
+func ExperimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// enabled returns the registry entries Config.Experiments selects, in
+// canonical order, rejecting unknown names.
+func (c Config) enabled() ([]experiment, error) {
+	names := ExperimentNames()
+	for _, name := range c.Experiments {
+		if name != "all" && !slices.Contains(names, name) {
 			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)",
-				name, strings.Join(experimentOrder, ", "))
+				name, strings.Join(names, ", "))
 		}
-		set[name] = true
 	}
-	return set, nil
+	all := len(c.Experiments) == 0 || slices.Contains(c.Experiments, "all")
+	var sel []experiment
+	for _, e := range experiments {
+		if all || slices.Contains(c.Experiments, e.name) {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
+// sizes is the message-size sweep of figures 3 and 4.
+func (c Config) sizes() []int64 {
+	if c.Sizes == nil {
+		return Figure3Sizes
+	}
+	return c.Sizes
 }
 
 // Results holds every experiment's outputs in config order. All values are
@@ -192,187 +301,32 @@ func (t *Trajectory) measure(name string, fn func() error) error {
 // the full trajectory. Each experiment internally fans its independent
 // simulations across Workers goroutines.
 func RunAll(cfg Config) (*Trajectory, error) {
-	want, err := cfg.enabled()
+	sel, err := cfg.enabled()
 	if err != nil {
 		return nil, err
-	}
-	sizes := cfg.Sizes
-	if sizes == nil {
-		sizes = Figure3Sizes
 	}
 	t := &Trajectory{Config: cfg}
 	t.Perf.Workers = Workers
 	t.Perf.GoMaxProcs = runtime.GOMAXPROCS(0)
 	allStart := time.Now()
-
-	if want["connscale"] {
-		if err := t.measure("connscale", func() error {
-			var err error
-			t.Results.ConnScale, err = ConnScale(cfg.ConnScale)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["shardscale"] {
-		if err := t.measure("shardscale", func() error {
-			var err error
-			t.Results.ShardScale, err = ShardScale(cfg.ShardScale, cfg.ShardCounts)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["memscale"] {
-		if err := t.measure("memscale", func() error {
-			var err error
-			t.Results.MemScale, err = MemScale(cfg.MemScale)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["connsetup"] {
-		if err := t.measure("connsetup", func() error {
-			for _, mode := range []Mode{Standard, Failover} {
-				r, err := ConnectionSetup(mode, cfg.Conns)
-				if err != nil {
-					return fmt.Errorf("connsetup %s: %w", mode, err)
-				}
-				t.Results.ConnSetup = append(t.Results.ConnSetup, r)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig3"] {
-		if err := t.measure("fig3", func() error {
-			var err error
-			if t.Results.Fig3Std, err = ClientToServerSend(Standard, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig3 standard: %w", err)
-			}
-			if t.Results.Fig3Fo, err = ClientToServerSend(Failover, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig3 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig4"] {
-		if err := t.measure("fig4", func() error {
-			var err error
-			if t.Results.Fig4Std, err = ServerToClientTransfer(Standard, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig4 standard: %w", err)
-			}
-			if t.Results.Fig4Fo, err = ServerToClientTransfer(Failover, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig4 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig5"] {
-		if err := t.measure("fig5", func() error {
-			std, err := StreamRates(Standard, cfg.Stream)
-			if err != nil {
-				return fmt.Errorf("fig5 standard: %w", err)
-			}
-			fo, err := StreamRates(Failover, cfg.Stream)
-			if err != nil {
-				return fmt.Errorf("fig5 failover: %w", err)
-			}
-			t.Results.Fig5 = []RateResult{std, fo}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig6"] {
-		if err := t.measure("fig6", func() error {
-			var err error
-			if t.Results.Fig6Std, err = FTPRates(Standard, cfg.Reps); err != nil {
-				return fmt.Errorf("fig6 standard: %w", err)
-			}
-			if t.Results.Fig6Fo, err = FTPRates(Failover, cfg.Reps); err != nil {
-				return fmt.Errorf("fig6 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["ablate"] {
-		if err := t.measure("ablate", func() error {
-			var err error
-			t.Results.Ablation, err = Ablation(cfg.Stream / 4)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["failover"] {
-		if err := t.measure("failover", func() error {
-			r, err := FailoverLatency(cfg.Runs)
-			if err != nil {
-				return err
-			}
-			t.Results.Failover = &r
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["faultsweep"] {
-		if err := t.measure("faultsweep", func() error {
-			var err error
-			t.Results.FaultSweep, err = FaultSweep(cfg.FaultRates, cfg.Runs)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["failtimeline"] {
-		if err := t.measure("failtimeline", func() error {
-			r, err := FailoverTimeline(cfg.Runs)
-			if err != nil {
-				return err
-			}
-			t.Results.Timeline = &r
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["adversary"] {
-		if err := t.measure("adversary", func() error {
-			var err error
-			t.Results.Adversary, err = AdversaryMatrix()
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["slo"] {
-		if err := t.measure("slo", func() error {
-			var err error
-			t.Results.SLO, err = SLO(cfg.SLOWorkload, cfg.SLOLoads, cfg.SLOWindow)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["stallscale"] {
-		if err := t.measure("stallscale", func() error {
-			var err error
-			t.Results.StallScale, err = StallScale(cfg.StallScale, 0)
-			return err
-		}); err != nil {
+	for _, e := range sel {
+		if err := t.measure(e.name, func() error { return e.run(cfg, &t.Results) }); err != nil {
 			return nil, err
 		}
 	}
 	t.Perf.WallNS = time.Since(allStart).Nanoseconds()
 	return t, nil
+}
+
+// WriteText prints each experiment the trajectory ran as its paper-style
+// text block, in canonical order.
+func (t *Trajectory) WriteText(w io.Writer) error {
+	sel, err := t.Config.enabled()
+	if err != nil {
+		return err
+	}
+	for _, e := range sel {
+		e.print(w, t.Config, &t.Results)
+	}
+	return nil
 }

@@ -358,10 +358,12 @@ func (s *Segment) deliver(src *NIC, f Frame) {
 		if f.Dst == nic.mac || f.Dst.IsBroadcast() || nic.promiscuous {
 			if s.dropRx != nil && s.dropRx(nic, f) {
 				s.stats.Lost++
+				s.mLost.Inc()
 				continue
 			}
 			if s.impair != nil && s.impair.Rx(nic, f) {
 				s.stats.Lost++
+				s.mLost.Inc()
 				continue
 			}
 			recv = append(recv, nic)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/sim"
 )
 
@@ -274,6 +275,47 @@ func TestDropFilters(t *testing.T) {
 	}
 	if len(rb.frames) != 1 {
 		t.Errorf("tx filter: B received %d, want still 1", len(rb.frames))
+	}
+}
+
+// rxDropAll is an Impairer that loses every frame at one receiver.
+type rxDropAll struct{ at *NIC }
+
+func (rxDropAll) Tx(*NIC, Frame) TxVerdict    { return TxVerdict{} }
+func (d rxDropAll) Rx(dst *NIC, _ Frame) bool { return dst == d.at }
+
+// TestRxDropsCountedInRegistry checks that both receive-side drop paths —
+// the SetDropRxFilter shim and Impairer.Rx — move link_lost_total by as
+// much as Stats().Lost.
+func TestRxDropsCountedInRegistry(t *testing.T) {
+	sched, seg := testSegment(Config{})
+	reg := obs.NewRegistry()
+	seg.AttachObs(reg, "lan")
+	a, _ := attach(seg, macA)
+	nicB, _ := attach(seg, macB)
+	nicC, _ := attach(seg, macC)
+	nicC.SetPromiscuous(true)
+
+	lost := func() int64 {
+		v, _ := reg.Lookup(`link_lost_total{link="lan"}`)
+		return v
+	}
+	send := func() {
+		t.Helper()
+		_ = a.Send(Frame{Dst: macB, Type: TypeIPv4, Payload: []byte("x")})
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seg.SetDropRxFilter(func(dst *NIC, f Frame) bool { return dst == nicC })
+	send()
+	seg.SetDropRxFilter(nil)
+	seg.SetImpairer(rxDropAll{at: nicB})
+	send()
+	send()
+	if st := seg.Stats().Lost; st != 3 || lost() != st {
+		t.Errorf("Stats().Lost = %d, link_lost_total = %d, want 3 and 3", st, lost())
 	}
 }
 
