@@ -1,6 +1,7 @@
 package tcpfailover_test
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -8,7 +9,10 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
+	"tcpfailover/internal/fault"
+	"tcpfailover/internal/loadgen"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/tcp"
 )
 
 // ftpScenario builds a replicated FTP service (control port 21, data
@@ -366,5 +370,97 @@ func TestKVProtocolEdges(t *testing.T) {
 		if lines[i] != want[i] {
 			t.Errorf("line %d: %q, want %q", i, lines[i], want[i])
 		}
+	}
+}
+
+// TestLoadgenCountsBadBodies: the open-loop generator verifies every
+// response body. A server that corrupts one byte of every other body
+// yields exactly that many BadBodies, and their bytes stay out of BytesIn.
+func TestLoadgenCountsBadBodies(t *testing.T) {
+	opts := tcpfailover.LANOptions()
+	opts.Unreplicated = true
+	opts.ServerPorts = []uint16{80}
+	sc, err := tcpfailover.NewScenario(opts)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	const size = 1000
+	served := 0
+	if _, err := sc.Primary.TCP().Listen(80, func(c *tcp.Conn) {
+		var head, out []byte
+		buf := make([]byte, 4096)
+		pump := func() {
+			for {
+				if len(out) > 0 {
+					n, err := c.Write(out)
+					if err != nil || n == 0 {
+						return
+					}
+					out = out[n:]
+					continue
+				}
+				n, err := c.Read(buf)
+				if n == 0 {
+					if err != nil {
+						c.Close()
+					}
+					return
+				}
+				head = append(head, buf[:n]...)
+				for {
+					i := strings.Index(string(head), "\r\n\r\n")
+					if i < 0 {
+						break
+					}
+					head = head[i+4:]
+					body := make([]byte, size)
+					apps.Pattern(body, 0)
+					if served%2 == 1 {
+						body[size/2] ^= 0xff
+					}
+					served++
+					out = append(out, fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)...)
+					out = append(out, body...)
+				}
+			}
+		}
+		c.OnReadable(pump)
+		c.OnWritable(pump)
+	}); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	sc.Start()
+
+	gen := loadgen.New(loadgen.Config{
+		Sched: sc.Sched,
+		Stack: sc.Client.TCP(),
+		Addr:  sc.ServiceAddr(),
+		Port:  80,
+		Spec: loadgen.Spec{
+			Arrivals: loadgen.Poisson{Rate: 20},
+			Session:  loadgen.Session{Requests: loadgen.Fixed(3), Sizes: loadgen.Fixed(size), Think: time.Millisecond},
+		},
+		Rand: fault.NewRand(1),
+		Stop: time.Second,
+	})
+	gen.Start(0)
+	if err := sc.Sched.RunUntil(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := gen.Stats
+	if st.Completed == 0 || st.Completed != st.Requests {
+		t.Fatalf("completed %d of %d requests", st.Completed, st.Requests)
+	}
+	if int64(served) != st.Completed {
+		t.Fatalf("server answered %d requests, generator completed %d", served, st.Completed)
+	}
+	// Sessions are sequential per connection but interleave across
+	// connections, so the server's alternation is global: half the
+	// responses (rounded down) are corrupt.
+	if want := st.Completed / 2; st.BadBodies != want {
+		t.Errorf("BadBodies = %d, want %d", st.BadBodies, want)
+	}
+	if want := (st.Completed - st.BadBodies) * size; st.BytesIn != want {
+		t.Errorf("BytesIn = %d, want %d (verified bodies only)", st.BytesIn, want)
 	}
 }

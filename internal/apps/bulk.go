@@ -64,7 +64,7 @@ type Transfer struct {
 	OnClosed    func(error)
 
 	sched  *sim.Scheduler
-	chunk  []byte
+	chunk  patternBuf
 	pacing Pacing
 	paced  bool // a pacing continuation is pending
 }
@@ -96,19 +96,15 @@ func NewBulkSendPaced(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, po
 	if err != nil {
 		return nil, err
 	}
-	t := &Transfer{Conn: conn, Total: total, sched: sched, chunk: make([]byte, copyBufSize), pacing: pacing}
+	t := &Transfer{Conn: conn, Total: total, sched: sched, chunk: newPatternBuf(), pacing: pacing}
 	var pump func()
 	pump = func() {
 		if t.paced {
 			return // continuation already scheduled
 		}
 		for t.Sent < t.Total {
-			n := int64(len(t.chunk))
-			if t.Total-t.Sent < n {
-				n = t.Total - t.Sent
-			}
-			Pattern(t.chunk[:n], t.Sent)
-			m, err := conn.Write(t.chunk[:n])
+			n := min(t.Total-t.Sent, copyBufSize)
+			m, err := conn.Write(t.chunk.get(t.Sent, int(n)))
 			if err != nil {
 				t.Err = err
 				return
@@ -165,15 +161,11 @@ func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, erro
 	s := &PushServer{Size: size}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		var sent int64
-		chunk := make([]byte, copyBufSize)
+		chunk := newPatternBuf()
 		pump := func() {
 			for sent < s.Size {
-				n := int64(len(chunk))
-				if s.Size-sent < n {
-					n = s.Size - sent
-				}
-				Pattern(chunk[:n], sent)
-				m, err := c.Write(chunk[:n])
+				n := min(s.Size-sent, copyBufSize)
+				m, err := c.Write(chunk.get(sent, int(n)))
 				if err != nil {
 					return
 				}

@@ -222,15 +222,11 @@ func (s *ftpSession) finishTransfer(ok bool) {
 func (s *ftpSession) sendFile(data *tcp.Conn, size int64) {
 	var sent int64
 	finished := false
-	chunk := make([]byte, copyBufSize)
+	chunk := newPatternBuf()
 	pump := func() {
 		for sent < size {
-			n := int64(len(chunk))
-			if size-sent < n {
-				n = size - sent
-			}
-			Pattern(chunk[:n], sent)
-			m, err := data.Write(chunk[:n])
+			n := min(size-sent, copyBufSize)
+			m, err := data.Write(chunk.get(sent, int(n)))
 			if err != nil {
 				return
 			}
@@ -500,7 +496,7 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 				}
 			})
 		case "PUT":
-			chunk := make([]byte, copyBufSize)
+			chunk := newPatternBuf()
 			paced := false
 			var pump func()
 			pump = func() {
@@ -508,12 +504,8 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 					return
 				}
 				for op.sent < op.size {
-					n := int64(len(chunk))
-					if op.size-op.sent < n {
-						n = op.size - op.sent
-					}
-					Pattern(chunk[:n], op.sent)
-					m, werr := data.Write(chunk[:n])
+					n := min(op.size-op.sent, copyBufSize)
+					m, werr := data.Write(chunk.get(op.sent, int(n)))
 					if werr != nil {
 						return
 					}

@@ -45,7 +45,7 @@ func NewHTTPServer(stack *tcp.Stack, port uint16) (*HTTPServer, error) {
 	s := &HTTPServer{}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		s.Conns++
-		h := &httpServerConn{srv: s, c: c, buf: make([]byte, copyBufSize)}
+		h := &httpServerConn{srv: s, c: c, out: newPatternBuf()}
 		c.OnReadable(h.pump)
 		c.OnWritable(h.pump)
 	})
@@ -58,8 +58,8 @@ func NewHTTPServer(stack *tcp.Stack, port uint16) (*HTTPServer, error) {
 type httpServerConn struct {
 	srv  *HTTPServer
 	c    *tcp.Conn
-	buf  []byte
-	head []byte // accumulated request head (through the blank line)
+	out  patternBuf // body bytes; its buffer also receives requests
+	head []byte     // accumulated request head (through the blank line)
 
 	// In-progress response.
 	header  []byte // response head still to write
@@ -83,12 +83,8 @@ func (h *httpServerConn) pump() {
 			h.header = h.header[n:]
 		}
 		for h.bodyN > 0 {
-			n := h.bodyN
-			if n > int64(len(h.buf)) {
-				n = int64(len(h.buf))
-			}
-			Pattern(h.buf[:n], h.bodyAt)
-			m, err := h.c.Write(h.buf[:n])
+			n := min(h.bodyN, copyBufSize)
+			m, err := h.c.Write(h.out.get(h.bodyAt, int(n)))
 			if err != nil {
 				return
 			}
@@ -107,9 +103,10 @@ func (h *httpServerConn) pump() {
 			return
 		}
 		// Read more of the next request.
-		n, err := h.c.Read(h.buf)
+		n, err := h.c.Read(h.out.buf)
 		if n > 0 {
-			h.head = append(h.head, h.buf[:n]...)
+			h.out.invalidate()
+			h.head = append(h.head, h.out.buf[:n]...)
 			if len(h.head) > httpMaxHeader {
 				h.c.Abort()
 				return
@@ -194,6 +191,9 @@ type HTTPClient struct {
 	Responses int64
 	// BadBody is true if any body byte failed pattern verification.
 	BadBody bool
+	// BadBodies counts completed responses with at least one body byte
+	// that failed pattern verification.
+	BadBodies int64
 	// OnClosed, when set, observes the connection's full close (the tcp
 	// OnClose slot itself belongs to the client).
 	OnClosed func(error)
@@ -205,6 +205,7 @@ type HTTPClient struct {
 	want    int64 // body bytes outstanding for the current response
 	bodyLen int64 // current response's Content-Length
 	inBody  bool
+	respBad bool // the current response has a bad body byte
 	onDone  func()
 	closed  bool
 }
@@ -289,6 +290,7 @@ func (cl *HTTPClient) feed(p []byte) {
 		}
 		if VerifyPattern(p[:n], cl.wantOffset()) >= 0 {
 			cl.BadBody = true
+			cl.respBad = true
 		}
 		cl.Got += n
 		cl.want -= n
@@ -324,6 +326,10 @@ func parseContentLength(head string) int64 {
 func (cl *HTTPClient) finishResponse() {
 	cl.inBody = false
 	cl.Responses++
+	if cl.respBad {
+		cl.respBad = false
+		cl.BadBodies++
+	}
 	if done := cl.onDone; done != nil {
 		cl.onDone = nil
 		done()

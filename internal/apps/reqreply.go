@@ -20,7 +20,7 @@ import (
 // replication requires.
 func NewReqReplyServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
 	return stack.Listen(port, func(c *tcp.Conn) {
-		srv := &reqReplyConn{c: c, buf: make([]byte, copyBufSize)}
+		srv := &reqReplyConn{c: c, out: newPatternBuf()}
 		c.OnReadable(srv.pump)
 		c.OnWritable(srv.pump)
 	})
@@ -28,7 +28,7 @@ func NewReqReplyServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
 
 type reqReplyConn struct {
 	c       *tcp.Conn
-	buf     []byte
+	out     patternBuf // reply bytes; its buffer also receives requests
 	reqBuf  []byte
 	replyN  int64 // bytes of current reply still to send
 	replyAt int64 // pattern offset within current reply
@@ -39,12 +39,8 @@ func (s *reqReplyConn) pump() {
 	for {
 		// Finish the in-progress reply first.
 		for s.replyN > 0 {
-			n := s.replyN
-			if n > int64(len(s.buf)) {
-				n = int64(len(s.buf))
-			}
-			Pattern(s.buf[:n], s.replyAt)
-			m, err := s.c.Write(s.buf[:n])
+			n := min(s.replyN, copyBufSize)
+			m, err := s.c.Write(s.out.get(s.replyAt, int(n)))
 			if err != nil {
 				return
 			}
@@ -58,9 +54,10 @@ func (s *reqReplyConn) pump() {
 			s.c.Close()
 			return
 		}
-		n, err := s.c.Read(s.buf)
+		n, err := s.c.Read(s.out.buf)
 		if n > 0 {
-			s.reqBuf = append(s.reqBuf, s.buf[:n]...)
+			s.out.invalidate()
+			s.reqBuf = append(s.reqBuf, s.out.buf[:n]...)
 		} else if err != nil {
 			s.sawEOF = true
 			continue

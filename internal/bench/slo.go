@@ -152,6 +152,10 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 		}
 
 		st := &gen.Stats
+		if st.BadBodies != 0 {
+			return fmt.Errorf("slo %s load %g crash=%v: %d responses failed body verification",
+				c.mode, c.load, c.crash, st.BadBodies)
+		}
 		out[j] = SLOPoint{
 			Mode:        c.mode,
 			Workload:    workload,

@@ -180,9 +180,10 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	if err != nil {
 		return StallScalePoint{}, nil, err
 	}
-	for _, cell := range ss.Cells {
+	gens := make([]*loadgen.Generator, len(ss.Cells))
+	for i, cell := range ss.Cells {
 		cell.Stream.Use()
-		loadgen.New(loadgen.Config{
+		gens[i] = loadgen.New(loadgen.Config{
 			Sched:       cell.Sched,
 			Stack:       cell.Client.TCP(),
 			Addr:        cell.ServiceAddr(),
@@ -191,10 +192,17 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 			Rand:        fault.NewRand(uint64(cellOpts.Seed) + uint64(cell.Index)),
 			Stop:        stop,
 			MeasureFrom: stallWarmup,
-		}).Start(0)
+		})
+		gens[i].Start(0)
 	}
 	if err := ss.RunUntil(horizon); err != nil {
 		return StallScalePoint{}, nil, err
+	}
+	for i, g := range gens {
+		if g.Stats.BadBodies != 0 {
+			return StallScalePoint{}, nil, fmt.Errorf("cell %d: %d responses failed body verification",
+				i, g.Stats.BadBodies)
+		}
 	}
 
 	p := StallScalePoint{

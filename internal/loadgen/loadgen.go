@@ -66,7 +66,11 @@ type Stats struct {
 	Failed    int64
 
 	// BytesIn counts verified body bytes delivered for measured requests.
+	// A body that failed verification counts in BadBodies instead.
 	BytesIn int64
+	// BadBodies counts measured requests that completed with a body byte
+	// failing pattern verification. A correct run has none.
+	BadBodies int64
 
 	// Lat holds client-visible request latency (issue instant to last body
 	// byte). A session's first request is issued at the arrival instant, so
@@ -175,11 +179,16 @@ func (s *session) issue() {
 	}
 	size := s.sizes[i]
 	last := s.next == len(s.sizes)
+	bad := s.cl.BadBodies
 	s.cl.Get(size, last, func() {
 		s.inFlight = false
 		if s.measured {
 			g.Stats.Completed++
-			g.Stats.BytesIn += size
+			if s.cl.BadBodies != bad {
+				g.Stats.BadBodies++
+			} else {
+				g.Stats.BytesIn += size
+			}
 			g.Stats.Lat.ObserveDuration(g.cfg.Sched.Now() - s.issuedAt)
 		}
 		if last || s.dead {
