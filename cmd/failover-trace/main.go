@@ -163,8 +163,7 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 		}
 		fmt.Printf("%12s ***           primary crashes (echoed %d bytes)\n",
 			fmt.Sprintf("%.6f", sc.Now().Seconds()), received)
-		sc.Spans.MarkFailure(sc.Now())
-		sc.Group.CrashPrimary()
+		sc.CrashPrimary()
 	}
 	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
 		return err

@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"tcpfailover/internal/apps"
 	"tcpfailover/internal/metrics"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 )
 
 // Mode selects the baseline or the replicated system.
@@ -455,7 +457,7 @@ func FTPRates(mode Mode, reps int) ([]FTPPoint, error) {
 
 	out := make([]FTPPoint, 0, len(names))
 	for _, name := range names {
-		var get, put metrics.Floats
+		var get, put metrics.Samples[float64]
 		for _, v := range getRates[name] {
 			get.Add(v)
 		}
@@ -534,79 +536,120 @@ type FailoverResult struct {
 }
 
 // FailoverLatency crashes the primary at n different points during a
-// server-to-client stream and measures the longest gap in the client's
-// received-byte timeline around the failure.
+// server-to-client stream and reports each connection's client-visible
+// stall, read from its lifecycle span.
 func FailoverLatency(n int) (FailoverResult, error) {
-	const total = 2 * 1024 * 1024
-	gaps := make([]time.Duration, n)
+	stalls := make([]time.Duration, n)
 	intactSlots := make([]bool, n)
 	err := parallelEach(n, func(i int) error {
-		opts := tcpfailover.LANOptions()
-		opts.Seed = int64(6000 + i)
-		opts.ServerPorts = []uint16{benchPort}
-		sc, err := tcpfailover.NewScenario(opts)
+		st, intact, err := newFailoverRun(i, n).run()
 		if err != nil {
-			return err
+			return fmt.Errorf("run %d: %w", i, err)
 		}
-		if err := sc.Group.OnEach(func(h *netstack.Host) error {
-			_, err := apps.NewPushServer(h.TCP(), benchPort, total)
-			return err
-		}); err != nil {
-			return err
-		}
-		sc.Start()
-		conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
-		if err != nil {
-			return err
-		}
-		recv := apps.NewReceiver(conn, sc.Sched)
-
-		crashAt := int64(total/10) + int64(i)*int64(total/(2*n)) // spread crash points
-		var lastProgress, maxGap time.Duration
-		var prevReceived int64
-		crashed := false
-		for !recv.EOF {
-			if !sc.Sched.Step() {
-				return fmt.Errorf("run %d: queue empty (received=%d)", i, recv.Received)
-			}
-			if recv.Received != prevReceived {
-				if lastProgress > 0 && crashed {
-					if gap := sc.Now() - lastProgress; gap > maxGap {
-						maxGap = gap
-					}
-				}
-				prevReceived = recv.Received
-				lastProgress = sc.Now()
-			}
-			if !crashed && recv.Received >= crashAt {
-				crashed = true
-				sc.Group.CrashPrimary()
-				lastProgress = sc.Now()
-			}
-			if sc.Now() > time.Hour {
-				return fmt.Errorf("run %d: timeout (received=%d)", i, recv.Received)
-			}
-		}
-		intactSlots[i] = recv.BadAt < 0 && recv.Received == total
-		gaps[i] = maxGap
-		addEvents(sc)
+		stalls[i], intactSlots[i] = st.Total, intact
 		return nil
 	})
 	if err != nil {
 		return FailoverResult{}, err
 	}
-	var stalls metrics.Durations
+	var totals metrics.Durations
 	intact := true
 	for i := range n {
-		stalls.Add(gaps[i])
+		totals.Add(stalls[i])
 		intact = intact && intactSlots[i]
 	}
 	return FailoverResult{
 		N:           n,
-		StallMedian: stalls.Median(),
-		StallMax:    stalls.Max(),
+		StallMedian: totals.Median(),
+		StallMax:    totals.Max(),
 		AllIntact:   intact,
 	}, nil
+}
+
+// newFailoverRun is E6's run i of n: a 2 MB stream on the LAN testbed,
+// with the crash points spread over its middle.
+func newFailoverRun(i, n int) crashRun {
+	const total = 2 * 1024 * 1024
+	opts := tcpfailover.LANOptions()
+	opts.Seed = int64(6000 + i)
+	return crashRun{opts: opts, total: total, crashAt: total/10 + int64(i)*(total/(2*int64(n)))}
+}
+
+// crashRun is one E6/E9 failover run: the replicated server streams total
+// pattern bytes to one client, and the primary fail-stops once the client
+// has received crashAt of them.
+type crashRun struct {
+	opts           tcpfailover.Options
+	total, crashAt int64
+
+	sc   *tcpfailover.Scenario
+	recv *apps.Receiver
+}
+
+// start builds the span-traced testbed and opens the stream.
+func (c *crashRun) start() error {
+	c.opts.ServerPorts = []uint16{benchPort}
+	c.opts.Spans = true
+	sc, err := tcpfailover.NewScenario(c.opts)
+	if err != nil {
+		return err
+	}
+	if err := sc.Group.OnEach(func(h *netstack.Host) error {
+		_, err := apps.NewPushServer(h.TCP(), benchPort, c.total)
+		return err
+	}); err != nil {
+		return err
+	}
+	sc.Start()
+	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
+	if err != nil {
+		return err
+	}
+	c.sc, c.recv = sc, apps.NewReceiver(conn, sc.Sched)
+	return nil
+}
+
+// step executes one simulation event, crashing the primary after the event
+// that brings the client to crashAt received bytes.
+func (c *crashRun) step() error {
+	if !c.sc.Sched.Step() {
+		return fmt.Errorf("queue empty (received=%d)", c.recv.Received)
+	}
+	if _, crashed := c.sc.Spans.FailureMark(); !crashed && c.recv.Received >= c.crashAt {
+		c.sc.CrashPrimary()
+	}
+	if c.sc.Now() > time.Hour {
+		return fmt.Errorf("timeout (received=%d)", c.recv.Received)
+	}
+	return nil
+}
+
+// stall scores the finished run: the connection's span stall, and whether
+// every byte arrived exactly once, in order.
+func (c *crashRun) stall() (obs.StallBreakdown, bool, error) {
+	spans := c.sc.Spans.Spans()
+	if len(spans) != 1 {
+		return obs.StallBreakdown{}, false, fmt.Errorf("%d spans, want 1", len(spans))
+	}
+	st, ok := c.sc.Spans.Stall(&spans[0])
+	if !ok {
+		return obs.StallBreakdown{}, false, errors.New("span records no completed stall")
+	}
+	return st, c.recv.BadAt < 0 && c.recv.Received == c.total, nil
+}
+
+// run executes the whole run and scores it.
+func (c crashRun) run() (obs.StallBreakdown, bool, error) {
+	if err := c.start(); err != nil {
+		return obs.StallBreakdown{}, false, err
+	}
+	for !c.recv.EOF {
+		if err := c.step(); err != nil {
+			return obs.StallBreakdown{}, false, err
+		}
+	}
+	addEvents(c.sc)
+	return c.stall()
 }
 
 func us(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d.Nanoseconds())/1e3) }

@@ -318,7 +318,7 @@ func connScalePoint(seed int64, n int, spans bool) (ConnScalePoint, int, error) 
 	var ms0, ms1 runtime.MemStats
 	for rep := 0; rep < csPointRepeats; rep++ {
 		p := ConnScalePoint{Conns: n}
-		var perFrame metrics.Floats
+		var perFrame metrics.Samples[float64]
 		var allocs int64
 		ev0 := sc.Sched.Executed()
 		for b := 1; b <= csBatches; b++ {

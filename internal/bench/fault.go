@@ -176,7 +176,7 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 	points := make([]FaultPoint, 0, len(cells))
 	for ci, c := range cells {
 		var stalls metrics.Durations
-		var kbps metrics.Floats
+		var kbps metrics.Samples[float64]
 		p := FaultPoint{Model: c.model, Rate: c.rate, N: runs, AllIntact: true}
 		for _, o := range outs[ci*runs : (ci+1)*runs] {
 			stalls.Add(o.stall)

@@ -18,12 +18,13 @@ import (
 // --- E14: fleet-scale stall attribution ------------------------------------------
 //
 // E9 decomposes the client-visible failover stall (detection, ARP announce,
-// redirection, ACK turnaround) for ONE hand-driven connection. E14 asks the
-// question at fleet scale: when the primary crashes mid-window under
-// open-loop web traffic at 1k/10k/100k connections, what stall does EACH
-// connection see, and where does its time go? Every connection's stall is
-// computed from its recorded lifecycle span (internal/obs.SpanRecorder) and
-// attributed per phase against the fleet failure/detect/takeover marks;
+// redirection, recovery) for ONE hand-driven connection. E14 asks the same
+// question at fleet scale, with the same SpanRecorder.Stall: when the primary
+// crashes mid-window under open-loop web traffic at 1k/10k/100k connections,
+// what stall does EACH connection see, and where does its time go? Every
+// connection's stall is computed from its recorded lifecycle span
+// (internal/obs.SpanRecorder) and attributed per phase against the fleet
+// failure/detect/takeover marks;
 // phase and total distributions are aggregated into log-bucketed histograms
 // whose p50/p99/p999/max land in BENCH_trajectory.json. All values are
 // functions of the seeds only — byte-identical for any bench worker count

@@ -2,17 +2,17 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestFailoverTimelineDeterministic is the E9 gate: at a fixed seed set the
-// reconstructed timelines — and therefore the marshalled result and the
-// rendered phase breakdown — must be byte-identical across runs and worker
-// counts.
+// stall breakdowns — and therefore the marshalled result — must be
+// byte-identical across runs and worker counts.
 func TestFailoverTimelineDeterministic(t *testing.T) {
-	run := func(workers int) (TimelineResult, string) {
+	run := func(workers int) string {
 		old := Workers
 		Workers = workers
 		defer func() { Workers = old }()
@@ -24,45 +24,30 @@ func TestFailoverTimelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, string(blob)
+		return string(blob)
 	}
-	r1, blob1 := run(1)
-	_, blob2 := run(4)
+	blob1 := run(1)
+	blob2 := run(4)
 	if blob1 != blob2 {
 		t.Fatalf("timeline results differ across worker counts:\n%s\n%s", blob1, blob2)
 	}
-	_, blob3 := run(4)
-	if blob2 != blob3 {
+	if blob3 := run(4); blob2 != blob3 {
 		t.Fatalf("timeline results differ across identical runs:\n%s\n%s", blob2, blob3)
-	}
-
-	var sb1, sb2 strings.Builder
-	if err := r1.Sample.WriteText(&sb1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Sample.WriteText(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if sb1.String() != sb2.String() {
-		t.Fatalf("WriteText not deterministic:\n%s\n%s", sb1.String(), sb2.String())
 	}
 }
 
-// TestFailoverTimelineShape checks the reconstruction against the known
-// structure of a LAN failover: detection is bounded by the detector timeout
-// plus one check period, the ARP announce is synchronous with the takeover
-// procedure, and every phase timestamp is ordered.
+// TestFailoverTimelineShape checks the breakdown against the known
+// structure of a LAN failover: the phases tile the stall, detection is
+// bounded by the detector timeout plus one check period, and the ARP
+// announce is synchronous with the takeover procedure.
 func TestFailoverTimelineShape(t *testing.T) {
 	r, err := FailoverTimeline(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := r.Sample
-	if !(tl.FailureInjected < tl.DetectorFired &&
-		tl.DetectorFired <= tl.TakeoverDone &&
-		tl.TakeoverDone < tl.FirstServerSegment &&
-		tl.FirstServerSegment < tl.ClientAckResumed) {
-		t.Fatalf("milestones out of order: %+v", tl)
+	s := r.Sample
+	if sum := s.PreCrash + s.Detection + s.Announce + s.Resume + s.Recovery; sum != s.Total || s.Total <= 0 {
+		t.Fatalf("sample phases sum to %v, total %v: %+v", sum, s.Total, s)
 	}
 	// LANOptions detector: 10 ms period, 50 ms timeout -> detection lands
 	// in (timeout, timeout+period] plus sub-ms delivery jitter.
@@ -74,6 +59,66 @@ func TestFailoverTimelineShape(t *testing.T) {
 	}
 	if r.TotalMedian <= r.DetectionMedian {
 		t.Errorf("total %v not greater than detection %v", r.TotalMedian, r.DetectionMedian)
+	}
+}
+
+// TestFailoverStallMatchesReceiverGap checks the span stall against an
+// independent oracle on E6's runs: the longest gap in the client's
+// received-byte timeline from the crash on, measured by stepping the
+// simulation and watching the receiver. It also pins E6's result to the
+// committed BENCH_trajectory.json failover block.
+func TestFailoverStallMatchesReceiverGap(t *testing.T) {
+	const n = 9
+	stalls, gaps := make([]time.Duration, n), make([]time.Duration, n)
+	err := parallelEach(n, func(i int) error {
+		c := newFailoverRun(i, n)
+		if err := c.start(); err != nil {
+			return err
+		}
+		var last, maxGap time.Duration
+		prev := c.recv.Received
+		for !c.recv.EOF {
+			if err := c.step(); err != nil {
+				return err
+			}
+			now := c.sc.Now()
+			crashAt, crashed := c.sc.Spans.FailureMark()
+			if crashed && last < crashAt {
+				last = crashAt // a gap counts from the crash at the earliest
+			}
+			if c.recv.Received != prev {
+				if crashed {
+					maxGap = max(maxGap, now-last)
+				}
+				prev, last = c.recv.Received, now
+			}
+		}
+		st, intact, err := c.stall()
+		if err != nil {
+			return err
+		}
+		if !intact {
+			return fmt.Errorf("seed %d: stream not intact", c.opts.Seed)
+		}
+		stalls[i], gaps[i] = st.Total, maxGap
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		if stalls[i] != gaps[i] {
+			t.Errorf("run %d: span stall %v, longest post-crash receiver gap %v", i, stalls[i], gaps[i])
+		}
+	}
+
+	r, err := FailoverLatency(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FailoverResult{N: n, StallMedian: 204781411, StallMax: 205132602, AllIntact: true}
+	if r != want {
+		t.Errorf("FailoverLatency(%d) = %+v, want the committed %+v", n, r, want)
 	}
 }
 

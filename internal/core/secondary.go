@@ -73,11 +73,6 @@ type SecondaryBridge struct {
 	// (the bridge's TupleKey for an outbound diverted segment is bit-for-bit
 	// the client stack's Tuple.SpanKey) and the fleet takeover mark.
 	spans *obs.SpanRecorder
-
-	// OnTakeover, if set, is called when Takeover completes — after the
-	// gratuitous ARP announcing the primary's address has been broadcast.
-	// The failover timeline analyzer timestamps its ARP phase here.
-	OnTakeover func()
 }
 
 // sflow is a cached per-flow decision of the secondary bridge. Records live
@@ -361,9 +356,6 @@ func (b *SecondaryBridge) Takeover() error {
 		return err
 	}
 	b.spans.MarkTakeover(b.host.Scheduler().Now())
-	if b.OnTakeover != nil {
-		b.OnTakeover()
-	}
 	// Resume sending: kick retransmission of anything lost during the
 	// reconfiguration by letting the TCP timers run; nothing else to do.
 	return nil

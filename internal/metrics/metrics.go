@@ -4,47 +4,50 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
-// Durations collects duration samples. Percentile queries sort the samples
-// in place and remember that they are sorted, so a burst of queries
-// (median, p90, p99...) after a collection phase costs one sort and zero
-// allocations.
-type Durations struct {
-	samples []time.Duration
+// Samples collects samples (durations, rates, ratios) for nearest-rank
+// statistics. Percentile queries sort the samples in place and remember
+// that they are sorted, so a burst of queries (median, p90, p99...) after a
+// collection phase costs one sort and zero allocations.
+type Samples[T time.Duration | float64] struct {
+	samples []T
 	sorted  bool
 }
 
+// Durations collects duration samples.
+type Durations = Samples[time.Duration]
+
 // Add records a sample.
-func (d *Durations) Add(v time.Duration) {
+func (d *Samples[T]) Add(v T) {
 	d.samples = append(d.samples, v)
 	d.sorted = false
 }
 
 // N returns the number of samples.
-func (d *Durations) N() int { return len(d.samples) }
+func (d *Samples[T]) N() int { return len(d.samples) }
 
 // Median returns the median sample (zero when empty).
-func (d *Durations) Median() time.Duration { return d.Percentile(50) }
+func (d *Samples[T]) Median() T { return d.Percentile(50) }
 
 // Percentile returns the pth percentile using nearest-rank.
-func (d *Durations) Percentile(p float64) time.Duration {
+func (d *Samples[T]) Percentile(p float64) T {
 	if len(d.samples) == 0 {
 		return 0
 	}
 	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
+		slices.Sort(d.samples)
 		d.sorted = true
 	}
 	idx := int(float64(len(d.samples)-1) * p / 100.0)
 	return d.samples[idx]
 }
 
-// Max returns the largest sample.
-func (d *Durations) Max() time.Duration {
-	var m time.Duration
+// Max returns the largest sample (zero when empty).
+func (d *Samples[T]) Max() T {
+	var m T
 	for _, v := range d.samples {
 		if v > m {
 			m = v
@@ -54,7 +57,7 @@ func (d *Durations) Max() time.Duration {
 }
 
 // Min returns the smallest sample (zero when empty).
-func (d *Durations) Min() time.Duration {
+func (d *Samples[T]) Min() T {
 	if len(d.samples) == 0 {
 		return 0
 	}
@@ -65,87 +68,6 @@ func (d *Durations) Min() time.Duration {
 		}
 	}
 	return m
-}
-
-// Mean returns the arithmetic mean.
-func (d *Durations) Mean() time.Duration {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum / time.Duration(len(d.samples))
-}
-
-// Floats collects float64 samples (rates, ratios) with the same
-// nearest-rank statistics and sort-once behaviour as Durations.
-type Floats struct {
-	samples []float64
-	sorted  bool
-}
-
-// Add records a sample.
-func (f *Floats) Add(v float64) {
-	f.samples = append(f.samples, v)
-	f.sorted = false
-}
-
-// N returns the number of samples.
-func (f *Floats) N() int { return len(f.samples) }
-
-// Median returns the median sample (zero when empty).
-func (f *Floats) Median() float64 { return f.Percentile(50) }
-
-// Percentile returns the pth percentile using nearest-rank.
-func (f *Floats) Percentile(p float64) float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	if !f.sorted {
-		sort.Float64s(f.samples)
-		f.sorted = true
-	}
-	idx := int(float64(len(f.samples)-1) * p / 100.0)
-	return f.samples[idx]
-}
-
-// Max returns the largest sample (zero when empty).
-func (f *Floats) Max() float64 {
-	var m float64
-	for _, v := range f.samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample (zero when empty).
-func (f *Floats) Min() float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	m := f.samples[0]
-	for _, v := range f.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean (zero when empty).
-func (f *Floats) Mean() float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range f.samples {
-		sum += v
-	}
-	return sum / float64(len(f.samples))
 }
 
 // RateKBps converts bytes transferred in elapsed time to KB/s (the paper's

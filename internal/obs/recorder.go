@@ -37,7 +37,7 @@ type Recorder struct {
 
 // DefaultSnapLen bounds the payload bytes kept per record. 128 bytes cover
 // every TCP header this simulation produces (options included) plus the
-// leading payload — enough for timeline reconstruction and readable pcaps
+// leading payload — enough for readable pcaps
 // without letting bulk transfers blow up the ring's memory.
 const DefaultSnapLen = 128
 

@@ -1,9 +1,9 @@
 // Package obs is the observability core: a zero-allocation metrics
 // registry, a bounded flight recorder with standard pcap/pcapng output,
-// and a failover timeline analyzer. Everything in this package is
-// deterministic — values are functions of the simulation only, never of
-// wall-clock time — so snapshots and timelines are byte-identical across
-// runs at the same seed.
+// and per-connection lifecycle spans with their failover-stall breakdown.
+// Everything in this package is deterministic — values are functions of
+// the simulation only, never of wall-clock time — so snapshots and spans
+// are byte-identical across runs at the same seed.
 //
 // The metrics discipline matches the hot-path rules of internal/sim and
 // internal/netbuf: all lookup work (name resolution, slot allocation,

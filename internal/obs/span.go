@@ -12,8 +12,9 @@ type SpanMilestone uint8
 
 // Per-connection lifecycle milestones, in causal order. Each is recorded at
 // most once per connection (set-if-unset), except LastProgress, which is
-// overwritten on every delivery until the failure mark freezes it — it then
-// holds the last pre-crash progress, the anchor the stall is measured from.
+// overwritten on every delivery until the takeover mark freezes it — it then
+// holds the last delivery before the takeover, the anchor the stall is
+// measured from.
 const (
 	SpanSynSent SpanMilestone = iota
 	SpanEstablished
@@ -123,15 +124,6 @@ func (r *SpanRecorder) AttachObs(reg *Registry) {
 	r.active = reg.Gauge("obs_spans_active")
 	r.evictions.Add(r.evictedTotal)
 	r.active.Set(int64(r.slab.Len()))
-}
-
-// SetLimit changes the live-span bound (0 means unbounded). Existing spans
-// above the new limit are evicted oldest-first immediately.
-func (r *SpanRecorder) SetLimit(n int) {
-	r.limit = n
-	for r.limit > 0 && r.slab.Len() > r.limit {
-		r.evictOldest()
-	}
 }
 
 // Len returns the number of live spans.
@@ -255,9 +247,12 @@ func (r *SpanRecorder) Mark(key uint64, m SpanMilestone, now time.Duration) {
 }
 
 // Progress records one in-order payload delivery for key at sim time now.
-// Before the failure mark it advances LastProgress (the pre-crash anchor);
-// after it, the first delivery becomes FirstRecovery and LastProgress stays
-// frozen. FirstByte is recorded on the first delivery either way.
+// Before the takeover mark it advances LastProgress (the stall anchor): a
+// fail-stopped primary sends nothing new, so a byte delivered between the
+// crash and the takeover was already in flight and still counts as progress.
+// From the takeover on, the first delivery becomes FirstRecovery and
+// LastProgress stays frozen. FirstByte is recorded on the first delivery
+// either way.
 func (r *SpanRecorder) Progress(key uint64, now time.Duration) {
 	if r == nil {
 		return
@@ -267,7 +262,7 @@ func (r *SpanRecorder) Progress(key uint64, now time.Duration) {
 		sp.Times[SpanFirstByte] = now
 		sp.Set |= 1 << SpanFirstByte
 	}
-	if !r.haveFailure {
+	if !r.haveTakeover {
 		sp.Times[SpanLastProgress] = now
 		sp.Set |= 1 << SpanLastProgress
 		return
@@ -299,7 +294,6 @@ func (r *SpanRecorder) ZeroWindow(key uint64) {
 }
 
 // MarkFailure records the fleet-wide failure-injection time (set-if-unset).
-// From this point Progress freezes LastProgress and starts FirstRecovery.
 func (r *SpanRecorder) MarkFailure(now time.Duration) {
 	if r == nil || r.haveFailure {
 		return
@@ -316,7 +310,8 @@ func (r *SpanRecorder) MarkDetect(now time.Duration) {
 }
 
 // MarkTakeover records when the secondary finished taking over the service
-// address — the ARP announce instant (set-if-unset).
+// address — the ARP announce instant (set-if-unset). From this point
+// Progress freezes LastProgress and starts FirstRecovery.
 func (r *SpanRecorder) MarkTakeover(now time.Duration) {
 	if r == nil || r.haveTakeover {
 		return

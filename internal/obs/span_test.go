@@ -13,13 +13,19 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 	r.Mark(key, SpanSynSent, 20*time.Millisecond) // set-if-unset: ignored
 	r.Mark(key, SpanEstablished, 30*time.Millisecond)
 
-	// Pre-failure progress advances LastProgress every time and records
+	// Pre-takeover progress advances LastProgress every time and records
 	// FirstByte once.
 	r.Progress(key, 40*time.Millisecond)
 	r.Progress(key, 50*time.Millisecond)
 	r.MarkFailure(55 * time.Millisecond)
-	// Post-failure progress freezes LastProgress and sets FirstRecovery once.
-	r.Progress(key, 200*time.Millisecond)
+	// A delivery between the failure and the takeover was already in flight
+	// when the primary stopped: it still advances LastProgress.
+	r.Progress(key, 60*time.Millisecond)
+	r.MarkDetect(105 * time.Millisecond)
+	r.MarkTakeover(105 * time.Millisecond)
+	// From the takeover on, progress freezes LastProgress and sets
+	// FirstRecovery once; a delivery at the takeover instant already counts.
+	r.Progress(key, 105*time.Millisecond)
 	r.Progress(key, 210*time.Millisecond)
 
 	sp, ok := r.Lookup(key)
@@ -30,8 +36,8 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 		SpanSynSent:       10 * time.Millisecond,
 		SpanEstablished:   30 * time.Millisecond,
 		SpanFirstByte:     40 * time.Millisecond,
-		SpanLastProgress:  50 * time.Millisecond,
-		SpanFirstRecovery: 200 * time.Millisecond,
+		SpanLastProgress:  60 * time.Millisecond,
+		SpanFirstRecovery: 105 * time.Millisecond,
 	}
 	for m, w := range want {
 		got, ok := sp.Time(m)
@@ -41,6 +47,13 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 	}
 	if sp.Has(SpanFirstDiverted) || sp.Has(SpanFirstAfterTakeover) {
 		t.Error("unmarked milestones reported as set")
+	}
+	// The in-flight delivery anchors the stall after the crash, so nothing
+	// of it is pre-crash and detection runs from the anchor.
+	st, ok := r.Stall(&sp)
+	if !ok || st.Anchor != 60*time.Millisecond || st.Total != 45*time.Millisecond ||
+		st.PreCrash != 0 || st.Detection != 45*time.Millisecond {
+		t.Errorf("stall = %+v (ok=%v), want anchor 60ms, total and detection 45ms", st, ok)
 	}
 
 	r.Retransmit(key)
@@ -116,22 +129,6 @@ func TestSpanRecorderLRUTouch(t *testing.T) {
 	for _, k := range []uint64{1, 3, 4} {
 		if _, ok := r.Lookup(k); !ok {
 			t.Errorf("span %d evicted, want retained", k)
-		}
-	}
-}
-
-func TestSpanSetLimitEvictsDown(t *testing.T) {
-	r := NewSpanRecorder(0)
-	for i := 0; i < 10; i++ {
-		r.Mark(uint64(i+1), SpanSynSent, time.Duration(i))
-	}
-	r.SetLimit(4)
-	if r.Len() != 4 {
-		t.Fatalf("len = %d after SetLimit(4), want 4", r.Len())
-	}
-	for k := uint64(7); k <= 10; k++ {
-		if _, ok := r.Lookup(k); !ok {
-			t.Errorf("recent span %d evicted by SetLimit", k)
 		}
 	}
 }

@@ -70,15 +70,9 @@ type Group struct {
 	// the argument is the role that failed.
 	OnFailover func(failed Role)
 
-	// OnPrimaryFailureDetected, if set, runs the moment the secondary's
-	// fault detector declares the primary failed — before the takeover
-	// procedure starts. The failover timeline analyzer timestamps its
-	// detection phase here.
-	OnPrimaryFailureDetected func()
-
 	// spans, when attached, receives the detector-fired fleet mark the
-	// instant the secondary declares the primary dead — independent of any
-	// OnPrimaryFailureDetected callback a harness may also install.
+	// instant the secondary declares the primary dead, before the takeover
+	// procedure starts.
 	spans *obs.SpanRecorder
 
 	started bool
@@ -118,9 +112,6 @@ func NewGroup(primary, secondary *netstack.Host, cfg Config) (*Group, error) {
 	})
 	g.detectOnSecondary = detect.New(secondary, aS, aP, cfg.Detect, func() {
 		g.spans.MarkDetect(g.secondary.Scheduler().Now())
-		if g.OnPrimaryFailureDetected != nil {
-			g.OnPrimaryFailureDetected()
-		}
 		_ = g.sb.Takeover()
 		if g.OnFailover != nil {
 			g.OnFailover(RolePrimary)

@@ -393,8 +393,7 @@ func (sc *Scenario) validateStep(step fault.Step) error {
 func (sc *Scenario) applyStep(step fault.Step) {
 	switch step.Op {
 	case fault.OpCrashPrimary:
-		sc.Spans.MarkFailure(sc.Sched.Now())
-		sc.Primary.Crash()
+		sc.CrashPrimary()
 	case fault.OpCrashSecondary:
 		sc.Secondary.Crash()
 	case fault.OpCrashTertiary:
@@ -516,3 +515,10 @@ func (sc *Scenario) RunUntil(cond func() bool, deadline time.Duration) error {
 
 // Now returns the current virtual time.
 func (sc *Scenario) Now() time.Duration { return sc.Sched.Now() }
+
+// CrashPrimary fail-stops the primary now, stamping the span recorder's
+// failure mark first (a no-op when span tracing is off).
+func (sc *Scenario) CrashPrimary() {
+	sc.Spans.MarkFailure(sc.Sched.Now())
+	sc.Primary.Crash()
+}
